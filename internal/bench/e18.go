@@ -1,9 +1,9 @@
 package bench
 
 // E18 measures what the streaming tuple pipeline bought: the
-// materialize-then-check reference (TuplesOf slab-allocates the full
-// sibling-group cross product, then each FD groups the slab by its LHS
-// key) raced against the production path (xfd.CheckerSet streaming the
+// materialize-then-check reference (TuplesOf materializes every tuple
+// of the full sibling-group cross product, then each FD groups them by
+// its LHS key) raced against the production path (xfd.CheckerSet streaming the
 // union projection of Σ through one reused scratch tuple). The
 // document family is gen.WideDTD's shape — a root with width starred
 // EMPTY child labels, m repeats each — whose maximal-tuple count is
@@ -61,8 +61,8 @@ func wideSigma(width int) []xfd.FD {
 }
 
 // materializedSatisfiesAll is the pre-streaming reference: materialize
-// the full maximal-tuple slab, then decide each FD by grouping the
-// slab on its LHS key. Verdict only — mirrors what consumers paid
+// every maximal tuple, then decide each FD by grouping them on its LHS
+// key. Verdict only — mirrors what consumers paid
 // before the streaming pipeline, cap error included.
 func materializedSatisfiesAll(u *paths.Universe, t *xmltree.Tree, sigma []xfd.FD) (bool, error) {
 	ts, err := tuples.TuplesOf(u, t, 0)

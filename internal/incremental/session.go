@@ -15,7 +15,7 @@
 //
 // A Session exploits this by keeping the group maps ALIVE between
 // edits, with reference counts: per cluster, per FD, a two-level map
-// lhsKey → rhsKey → count of projected tuples, where the RHS key is
+// LHS key → RHS key → count of projected tuples, where the RHS key is
 // injective with respect to the checker's RHS-agreement relation
 // (xfd.CheckerSet.AppendFoldKeys). An FD is violated exactly when some
 // LHS group holds two distinct RHS keys, and a per-FD "conflicted

@@ -101,9 +101,10 @@ func UniverseForTree(t *xmltree.Tree) *paths.Universe {
 
 // TuplesOf computes tuples_D(T) (Definition 6): the maximal tree tuples
 // of the tree, indexed by the given path universe (built from the DTD
-// the tree conforms to). Each tuple picks one child per label at every
-// node it contains. Tree paths outside the universe are an error — the
-// tree is then not compatible with the universe's DTD.
+// the tree conforms to), in Stream's order. Each tuple picks one child
+// per label at every node it contains. Tree paths outside the universe
+// are an error — the tree is then not compatible with the universe's
+// DTD.
 //
 // cap bounds the number of tuples (≤ 0 means MaxTuples); exceeding it is
 // an error, so callers never silently truncate.
@@ -111,75 +112,19 @@ func TuplesOf(u *paths.Universe, t *xmltree.Tree, cap int) ([]Tuple, error) {
 	if cap <= 0 {
 		cap = MaxTuples
 	}
-	if n := CountTuples(t, cap); n >= cap {
+	n := CountTuples(t, cap)
+	if n >= cap {
 		return nil, fmt.Errorf("tuples: tree has ≥ %d maximal tuples (cap %d)", n, cap)
 	}
-	rootID, ok := u.LookupString(t.Root.Label)
-	if !ok {
-		return nil, fmt.Errorf("tuples: root %q is not in the path universe", t.Root.Label)
+	out := make([]Tuple, 0, n)
+	err := Stream(u, t, func(tup Tuple) bool {
+		out = append(out, tup.Clone())
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
-	var enum func(n *xmltree.Node, id paths.ID) ([]Tuple, error)
-	enum = func(n *xmltree.Node, id paths.ID) ([]Tuple, error) {
-		base := NewTuple(u)
-		base.SetID(id, NodeValue(n.ID))
-		for a, v := range n.Attrs {
-			aid, ok := u.Child(id, "@"+a)
-			if !ok {
-				return nil, fmt.Errorf("tuples: %s.@%s is not in the path universe", u.StringOf(id), a)
-			}
-			base.SetID(aid, StringValue(v))
-		}
-		if n.HasText {
-			tid, ok := u.Child(id, dtd.TextStep)
-			if !ok {
-				return nil, fmt.Errorf("tuples: %s.%s is not in the path universe", u.StringOf(id), dtd.TextStep)
-			}
-			base.SetID(tid, StringValue(n.Text))
-		}
-		acc := []Tuple{base}
-		for _, group := range childGroups(n) {
-			cid, ok := u.Child(id, group[0].Label)
-			if !ok {
-				return nil, fmt.Errorf("tuples: %s.%s is not in the path universe", u.StringOf(id), group[0].Label)
-			}
-			var alts []Tuple
-			for _, c := range group {
-				sub, err := enum(c, cid)
-				if err != nil {
-					return nil, err
-				}
-				alts = append(alts, sub...)
-			}
-			// Cross product: extend every accumulated tuple with every
-			// alternative for this label. The bitsets and value slices of
-			// the whole product are carved out of two slab allocations —
-			// the capacities are clamped, so a later grow can never bleed
-			// into a neighbouring tuple.
-			size, words := u.Size(), len(base.set)
-			total := len(acc) * len(alts)
-			valsArena := make([]Value, total*size)
-			setArena := make([]uint64, total*words)
-			next := make([]Tuple, 0, total)
-			k := 0
-			for _, t := range acc {
-				for _, a := range alts {
-					vals := valsArena[k*size : (k+1)*size : (k+1)*size]
-					set := paths.Set(setArena[k*words : (k+1)*words : (k+1)*words])
-					copy(vals, t.vals)
-					copy(set, t.set)
-					a.set.ForEach(func(id paths.ID) { vals[id] = a.vals[id] })
-					for i := range a.set {
-						set[i] |= a.set[i]
-					}
-					next = append(next, Tuple{u: u, set: set, vals: vals})
-					k++
-				}
-			}
-			acc = next
-		}
-		return acc, nil
-	}
-	return enum(t.Root, rootID)
+	return out, nil
 }
 
 // TreeOf computes tree_D(t) (Definition 5): the XML tree induced by the

@@ -1,16 +1,16 @@
 package tuples
 
-// Streaming enumeration of tree tuples. TuplesOf (ops.go) materializes
-// tuples_D(T) as the cross product of sibling-group choices, which is
-// exponential in fan-out and hard-capped at MaxTuples. The enumerators
-// here walk the same choice points by backtracking over ONE scratch
-// tuple instead: a compiled per-tree plan resolves every path once, and
-// the enumeration itself allocates nothing per tuple, so documents far
-// past the materialization cap stream in O(|T| + |paths(D)|) additional
-// memory regardless of how many maximal tuples they have. Both the
-// maximal-tuple enumeration (Stream) and the projection enumeration
-// (Projector.Stream) yield tuples in exactly the order their
-// materializing counterparts produce them.
+// Streaming enumeration of tree tuples. tuples_D(T) is the cross
+// product of sibling-group choices, exponential in fan-out; the
+// enumerators here walk those choice points by backtracking over ONE
+// scratch tuple instead of materializing the product: a compiled
+// per-tree plan resolves every path once, and the enumeration itself
+// allocates nothing per tuple, so documents far past the MaxTuples
+// materialization cap stream in O(|T| + |paths(D)|) additional memory
+// regardless of how many maximal tuples they have. The maximal-tuple
+// enumeration (Stream) yields tuples in exactly the order of the
+// recursive cross product (the slab oracle in the tests); TuplesOf and
+// Projector.Of are collectors over these streams.
 
 import (
 	"fmt"
@@ -111,7 +111,7 @@ func enumerate(sn *planNode, scratch Tuple, yield func(Tuple) bool) bool {
 // compileTree builds the maximal-tuple plan of a tree against a path
 // universe: every node contributes its vertex, attributes and text;
 // every label group is a choice point. Tree paths outside the universe
-// are an error, exactly as in TuplesOf.
+// are an error.
 func compileTree(u *paths.Universe, t *xmltree.Tree) (*plan, error) {
 	rootID, ok := u.LookupString(t.Root.Label)
 	if !ok {
@@ -161,7 +161,7 @@ func compileTree(u *paths.Universe, t *xmltree.Tree) (*plan, error) {
 
 // Stream enumerates tuples_D(T) (Definition 6) without materializing
 // the cross product: the maximal tuples are presented to yield one at a
-// time, in exactly the order TuplesOf returns them, through a single
+// time, in the order TuplesOf returns them, through a single
 // scratch tuple that is reused between calls — Clone any tuple you keep
 // past the callback. yield returning false stops the enumeration early.
 // Unlike TuplesOf there is no tuple-count cap: memory stays

@@ -1,8 +1,8 @@
 package tuples_test
 
 // Differential suite for the streaming enumerators: Stream must agree
-// with the materializing TuplesOf tuple for tuple (same sequence, not
-// just the same multiset), Projector.Stream must cover exactly Of's
+// with the slab cross-product oracle (SlabTuplesOf, slab_test.go) tuple
+// for tuple (same sequence, not just the same multiset), Projector.Stream must cover exactly Of's
 // deduplicated tuple set, and the saturating CountTuples must clamp at
 // the cap where the naive product would wrap past MaxInt.
 
@@ -34,7 +34,7 @@ func collectStream(t *testing.T, u *paths.Universe, doc *xmltree.Tree) []tuples.
 
 // TestStreamMatchesTuplesOfSequence runs ≥1000 random (DTD, document)
 // instances and checks that the backtracking enumeration yields
-// exactly the tuple sequence TuplesOf materializes — position by
+// exactly the tuple sequence the slab oracle materializes — position by
 // position, compared by binary key. Sequence equality is strictly
 // stronger than the multiset agreement the consumers need; it also
 // pins witness and report ordering to the materialized behavior.
@@ -55,13 +55,13 @@ func TestStreamMatchesTuplesOfSequence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("paths.New: %v", err)
 		}
-		want, err := tuples.TuplesOf(u, doc, 0)
+		want, err := tuples.SlabTuplesOf(u, doc)
 		if err != nil {
-			t.Fatalf("TuplesOf: %v", err)
+			t.Fatalf("SlabTuplesOf: %v", err)
 		}
 		got := collectStream(t, u, doc)
 		if len(got) != len(want) {
-			t.Fatalf("instance %d: Stream yielded %d tuples, TuplesOf %d\nDTD:\n%s\ndoc:\n%s",
+			t.Fatalf("instance %d: Stream yielded %d tuples, the slab oracle %d\nDTD:\n%s\ndoc:\n%s",
 				instances, len(got), len(want), d, doc)
 		}
 		var gk, wk []byte
@@ -101,17 +101,17 @@ func TestStreamEarlyStop(t *testing.T) {
 }
 
 // TestStreamErrorsMatchTuplesOf checks that tree paths outside the
-// universe are reported identically by both enumerators, before the
-// first yield.
+// universe are reported identically by Stream and the slab oracle,
+// before the first yield.
 func TestStreamErrorsMatchTuplesOf(t *testing.T) {
 	doc, err := xmltree.ParseString("<r><c/></r>")
 	if err != nil {
 		t.Fatal(err)
 	}
 	u := paths.ForQuery([]dtd.Path{dtd.MustParsePath("r")}) // r.c missing
-	_, wantErr := tuples.TuplesOf(u, doc, 0)
+	_, wantErr := tuples.SlabTuplesOf(u, doc)
 	if wantErr == nil {
-		t.Fatal("TuplesOf should reject a tree path outside the universe")
+		t.Fatal("SlabTuplesOf should reject a tree path outside the universe")
 	}
 	yields := 0
 	gotErr := tuples.Stream(u, doc, func(tuples.Tuple) bool {
@@ -119,7 +119,7 @@ func TestStreamErrorsMatchTuplesOf(t *testing.T) {
 		return true
 	})
 	if gotErr == nil || gotErr.Error() != wantErr.Error() {
-		t.Fatalf("Stream error %v, TuplesOf error %v", gotErr, wantErr)
+		t.Fatalf("Stream error %v, SlabTuplesOf error %v", gotErr, wantErr)
 	}
 	if yields != 0 {
 		t.Fatalf("Stream yielded %d tuples before reporting the error", yields)

@@ -12,10 +12,11 @@
 // hold by construction for every tuple produced here and are checkable
 // with Validate.
 //
-// Four producers enumerate the same tuples in the same order — the
-// materialized TuplesOf, the backtracking Stream, the edit-scoped
-// StreamPinned and the parse-fused TokenStream — and the seeded
-// differential suites hold them identical; see ARCHITECTURE.md
+// One backtracking enumerator produces the tuples: Stream over a tree
+// (TuplesOf collects it), StreamPinned scoped to an edit, and the
+// parse-fused TokenStream all run the same plan enumeration in the same
+// order, and the seeded differential suites hold them identical to a
+// slab cross-product oracle kept in the tests; see ARCHITECTURE.md
 // (layer 2) at the repo root for how the layers above consume them.
 package tuples
 

@@ -1,24 +1,26 @@
 package xfd
 
 // CheckerSet decides T ⊨ Σ for a whole FD set in a minimal number of
-// streaming tree walks. The per-FD Checker (xfd.go) already avoids
-// materializing the full tuple set, but checking |Σ| dependencies that
-// way walks the document |Σ| times and re-projects overlapping paths.
-// A CheckerSet partitions Σ into clusters of FDs whose paths share
-// document branches (connected components over common second path
-// steps), compiles one union projection per cluster, streams its
-// tuples once (tuples.Projector.Stream — no cross product, no
-// MaxTuples ceiling), and folds every tuple into one LHS-key hash map
-// per FD, short-circuiting each FD at its first conflict and each walk
-// once all of its FDs are decided. Overlapping FDs (the common case: a
-// spec's dependencies concentrate on a few subtrees) are thus decided
-// in ONE walk, while FDs over disjoint branches keep separate
-// projections — a union projection across disjoint branches would
-// multiply their choice points instead of adding them. A sharded mode
-// fans the top-level sibling choices of the root out to the shared
-// worker pool (internal/pool) and merges the per-shard group maps; RHS
-// agreement is an equivalence relation, so comparing per-key shard
-// representatives is sound.
+// streaming tree walks. A CheckerSet partitions Σ into clusters of FDs
+// whose paths share document branches (connected components over
+// common second path steps), compiles one union projection per
+// cluster, streams its tuples once (tuples.Projector.Stream — no cross
+// product, no MaxTuples ceiling), and folds every tuple into one
+// LHS-keyed group map per FD, short-circuiting each FD at its first
+// conflict and each walk once all of its FDs are decided. Overlapping
+// FDs (the common case: a spec's dependencies concentrate on a few
+// subtrees) are thus decided in ONE walk, while FDs over disjoint
+// branches keep separate projections — a union projection across
+// disjoint branches would multiply their choice points instead of
+// adding them.
+//
+// Two folds do all the deciding. The witness fold (clusterFold) keeps
+// a clone of each group's first tuple so a conflict comes with its
+// witness pair; Check, the per-FD Checker, CheckReader and
+// WitnessReport drive it. The verdict fold (fdFold in fragment.go)
+// keeps only byte keys and merges; FoldState, the sharded check and
+// the distributed coordinator drive it, and every one of them that
+// needs a report hands its verdict to WitnessReport.
 
 import (
 	"context"
@@ -37,10 +39,11 @@ import (
 // trivially satisfied on every document — no tree has two root labels,
 // so its projection is always empty).
 type compiledFD struct {
-	fd   FD
-	lhs  []paths.ID
-	rhs  []paths.ID
-	root string
+	fd    FD
+	paths []dtd.Path // fd.Paths(), computed once
+	lhs   []paths.ID
+	rhs   []paths.ID
+	root  string
 }
 
 // cluster bundles FDs with a common root label whose paths are
@@ -72,8 +75,8 @@ type CheckerSet struct {
 func NewCheckerSet(u *paths.Universe, sigma []FD) (*CheckerSet, error) {
 	cs := &CheckerSet{fds: make([]compiledFD, 0, len(sigma))}
 	for _, f := range sigma {
-		cf := compiledFD{fd: f}
-		for i, p := range f.Paths() {
+		cf := compiledFD{fd: f, paths: f.Paths()}
+		for i, p := range cf.paths {
 			if i == 0 {
 				cf.root = p[0]
 			} else if p[0] != cf.root {
@@ -146,7 +149,7 @@ func (cs *CheckerSet) buildClusters(u *paths.Universe) error {
 		if cf.root == "" {
 			continue
 		}
-		for _, p := range cf.fd.Paths() {
+		for _, p := range cf.paths {
 			if len(p) < 2 {
 				continue
 			}
@@ -175,7 +178,7 @@ func (cs *CheckerSet) buildClusters(u *paths.Universe) error {
 			seen[ci] = map[string]bool{}
 		}
 		cs.clusters[ci].fds = append(cs.clusters[ci].fds, i)
-		for _, p := range cf.fd.Paths() {
+		for _, p := range cf.paths {
 			s := p.String()
 			if !seen[ci][s] {
 				seen[ci][s] = true
@@ -205,29 +208,42 @@ func (cs *CheckerSet) FDAt(i int) FD { return cs.fds[i].fd }
 // through onViolation with its index into the set (Σ order) and a
 // witness pair of projected tuples that agree on the FD's LHS
 // (non-null) but differ on its RHS — the first such conflict in
-// enumeration order, matching what the per-FD Checker.Violation
-// returns. Violations are reported in discovery order, which
+// enumeration order. Violations are reported in discovery order, which
 // interleaves FDs; onViolation returning false aborts the whole check
 // (remaining FDs stay unreported). onViolation may be nil. Each walk
 // short-circuits as soon as all of its cluster's FDs are decided.
 func (cs *CheckerSet) Check(t *xmltree.Tree, onViolation func(i int, witness [2]tuples.Tuple) bool) {
+	cs.check(t, nil, onViolation)
+}
+
+// check is Check restricted to the FD indices in only (nil: all of
+// them); clusters holding none of those FDs are not walked.
+func (cs *CheckerSet) check(t *xmltree.Tree, only map[int]bool, onViolation func(i int, witness [2]tuples.Tuple) bool) {
+	aborted := false
 	for ci := range cs.clusters {
 		cl := &cs.clusters[ci]
 		if cl.label != t.Root.Label {
 			continue
 		}
-		if aborted := cs.checkCluster(cl, t, nil, onViolation); aborted {
+		if fold := cs.clusterFold(cl, only, &aborted, onViolation); fold != nil {
+			cl.pr.Stream(t, fold)
+		}
+		if aborted {
 			return
 		}
 	}
 }
 
-// checkCluster is the sequential streaming core of Check, restricted
-// to one cluster's FDs. A non-nil only set further restricts the check
-// to those FD indices (used by the sharded mode to re-derive
-// deterministic witnesses for the FDs its verdict pass found
-// violated). It reports whether onViolation aborted the walk.
-func (cs *CheckerSet) checkCluster(cl *cluster, t *xmltree.Tree, only map[int]bool, onViolation func(i int, witness [2]tuples.Tuple) bool) (aborted bool) {
+// clusterFold is the witness fold: the per-tuple step that decides the
+// FDs of one cluster, as a yield callback for the cluster's tree or
+// token stream. Per FD it maps each LHS key to a clone of the group's
+// first tuple (the stream reuses its scratch tuple) and reports the
+// first tuple whose RHS disagrees with that representative, together
+// with it, as the witness pair. A non-nil only restricts the fold to
+// those FD indices; clusterFold returns nil when that leaves nothing
+// to decide. The shared aborted flag carries an onViolation abort
+// across every cluster of one check.
+func (cs *CheckerSet) clusterFold(cl *cluster, only map[int]bool, aborted *bool, onViolation func(i int, witness [2]tuples.Tuple) bool) func(tuples.Tuple) bool {
 	type fdState struct {
 		groups   map[string]tuples.Tuple // LHS key -> first tuple of the group (cloned)
 		violated bool
@@ -236,48 +252,48 @@ func (cs *CheckerSet) checkCluster(cl *cluster, t *xmltree.Tree, only map[int]bo
 	remaining := 0
 	for li, fi := range cl.fds {
 		if only != nil && !only[fi] {
-			states[li].violated = true // excluded: pretend decided
+			states[li].violated = true // excluded: decided up front
 			continue
 		}
 		states[li].groups = make(map[string]tuples.Tuple)
 		remaining++
 	}
 	if remaining == 0 {
-		return false
+		return nil
 	}
 	var buf []byte
-	cl.pr.Stream(t, func(tup tuples.Tuple) bool {
+	return func(tup tuples.Tuple) bool {
+		if *aborted {
+			return false
+		}
 		for li, fi := range cl.fds {
 			st := &states[li]
 			if st.violated {
 				continue
 			}
 			cf := &cs.fds[fi]
-			key, ok := lhsKey(tup, cf.lhs, buf[:0])
+			key, applies := appendKey(buf[:0], tup, cf.lhs, nil)
 			buf = key
-			if !ok {
+			if !applies {
 				continue // some LHS value is ⊥: the FD does not apply
 			}
 			first, seen := st.groups[string(key)]
 			if !seen {
-				// The stream reuses its scratch tuple; clone what we keep.
 				st.groups[string(key)] = tup.Clone()
 				continue
 			}
 			if sameRHS(first, tup, cf.rhs) {
 				continue
 			}
-			st.violated = true
-			st.groups = nil // dead once violated: free it mid-walk
+			st.violated, st.groups = true, nil // dead once violated: free it mid-walk
 			remaining--
 			if onViolation != nil && !onViolation(fi, [2]tuples.Tuple{first, tup.Clone()}) {
-				aborted = true
+				*aborted = true
 				return false
 			}
 		}
 		return remaining > 0
-	})
-	return aborted
+	}
 }
 
 // SatisfiesAll checks T ⊨ Σ, stopping at the first violation.
@@ -311,212 +327,43 @@ func (cs *CheckerSet) report(witnesses map[int][2]tuples.Tuple) []Violated {
 	return out
 }
 
-// shardTrees splits the document across the root's children labelled
-// label: shard i sees child i of that label plus every child of every
-// other label, so each relevant sibling group other than label's is
-// intact and label's group is pinned to one choice. The union of the
-// shards' projection streams is exactly the full projection stream
-// (each projection makes one choice in label's group). Shard roots are
-// shallow copies sharing the original's ID, attributes and child
-// nodes, so shards are safe to stream concurrently as long as nothing
-// mutates the tree.
-func shardTrees(t *xmltree.Tree, label string) []*xmltree.Tree {
-	var mine, others []*xmltree.Node
-	for _, c := range t.Root.Children {
-		if c.Label == label {
-			mine = append(mine, c)
-		} else {
-			others = append(others, c)
-		}
-	}
-	shards := make([]*xmltree.Tree, len(mine))
-	for i, c := range mine {
-		root := &xmltree.Node{
-			ID:      t.Root.ID,
-			Label:   t.Root.Label,
-			Attrs:   t.Root.Attrs,
-			Text:    t.Root.Text,
-			HasText: t.Root.HasText,
-		}
-		root.Children = make([]*xmltree.Node, 0, 1+len(others))
-		root.Children = append(append(root.Children, c), others...)
-		shards[i] = &xmltree.Tree{Root: root}
-	}
-	return shards
-}
-
-// shardLabel picks the sibling-group label to shard on: the relevant
-// root choice label with the most children in the document (ties: plan
-// order). Returns "" when no relevant label has at least two children
-// — there is nothing to fan out then.
-func shardLabel(cl *cluster, t *xmltree.Tree) string {
-	counts := make(map[string]int, 4)
-	for _, c := range t.Root.Children {
-		counts[c.Label]++
-	}
-	best, bestN := "", 1
-	for _, label := range cl.pr.RootChoiceLabels() {
-		if n := counts[label]; n > bestN {
-			best, bestN = label, n
-		}
-	}
-	return best
-}
-
-// shardVerdict runs the parallel verdict pass for one cluster: which
-// of its FDs does the document violate? Each shard folds its stream
-// into per-FD group maps; the sequential merge then detects
-// cross-shard conflicts. Because within a violation-free shard every
-// tuple of an LHS group RHS-agrees with the shard's stored
-// representative, and RHS agreement is transitive, comparing
-// representatives across shards decides exactly the conflicts the
-// sequential pass would find. Returns (nil, false, nil) when sharding
-// is not applicable (too few shards or workers) — the caller falls
-// back to the sequential path. A cancelled ctx aborts the fan-out
-// between shards (pool.ForEachCtx stops handing out indices) and
-// returns the context's error.
-func (cs *CheckerSet) shardVerdict(ctx context.Context, cl *cluster, t *xmltree.Tree, workers int) (bad map[int]bool, ok bool, err error) {
-	if workers <= 1 {
-		return nil, false, nil
-	}
-	label := shardLabel(cl, t)
-	if label == "" {
-		return nil, false, nil
-	}
-	shards := shardTrees(t, label)
-	type shardRes struct {
-		groups   []map[string]tuples.Tuple // per local FD: LHS key -> representative
-		violated []bool
-	}
-	results := make([]*shardRes, len(shards))
-	err = pool.ForEachCtx(ctx, workers, len(shards), func(s int) error {
-		res := &shardRes{
-			groups:   make([]map[string]tuples.Tuple, len(cl.fds)),
-			violated: make([]bool, len(cl.fds)),
-		}
-		for li := range cl.fds {
-			res.groups[li] = make(map[string]tuples.Tuple)
-		}
-		remaining := len(cl.fds)
-		var buf []byte
-		cl.pr.Stream(shards[s], func(tup tuples.Tuple) bool {
-			for li, fi := range cl.fds {
-				if res.violated[li] {
-					continue
-				}
-				cf := &cs.fds[fi]
-				key, ok := lhsKey(tup, cf.lhs, buf[:0])
-				buf = key
-				if !ok {
-					continue
-				}
-				first, seen := res.groups[li][string(key)]
-				if !seen {
-					res.groups[li][string(key)] = tup.Clone()
-					continue
-				}
-				if !sameRHS(first, tup, cf.rhs) {
-					res.violated[li] = true
-					res.groups[li] = nil // dead once violated
-					remaining--
-				}
-			}
-			return remaining > 0
-		})
-		results[s] = res
-		return nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	// The per-FD merges are independent, so they fan out over the pool
-	// too: worker li touches only results[*].groups[li] (read-only
-	// after the fold pass above) and its own badLocal slot. The
-	// verdict per FD does not depend on merge order — RHS agreement is
-	// an equivalence relation, so a cross-shard conflict exists iff
-	// SOME pair of representatives of one LHS key disagrees — which
-	// keeps the result identical to the sequential merge at any worker
-	// count.
-	badLocal := make([]bool, len(cl.fds))
-	err = pool.ForEachCtx(ctx, workers, len(cl.fds), func(li int) error {
-		cf := &cs.fds[cl.fds[li]]
-		merged := make(map[string]tuples.Tuple)
-		for _, res := range results {
-			if res.violated[li] {
-				badLocal[li] = true
-				return nil
-			}
-			for key, rep := range res.groups[li] {
-				first, seen := merged[key]
-				if !seen {
-					merged[key] = rep
-					continue
-				}
-				if !sameRHS(first, rep, cf.rhs) {
-					badLocal[li] = true
-					return nil
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	bad = make(map[int]bool)
-	for li, fi := range cl.fds {
-		if badLocal[li] {
-			bad[fi] = true
-		}
-	}
-	return bad, true, nil
-}
-
-// violatedSharded collects the violated FD indices across all clusters
-// applicable to the document, sharding each cluster's verdict pass
-// over up to workers goroutines (clusters with nothing to fan out run
-// sequentially). The context is checked between clusters and between
-// shards; a cancellation surfaces as the context's error.
+// violatedSharded collects the violated FD indices: SplitFragments
+// deals the document into up to workers fragments, each is folded into
+// its own FoldState on the worker pool, and the merged state's verdict
+// is the whole document's. All fragments share the document's nodes,
+// so the folds key vertices by NodeID and skip the positional
+// addressing a state shipped between processes needs. A cancelled ctx
+// stops handing out fragments and surfaces as the context's error.
 func (cs *CheckerSet) violatedSharded(ctx context.Context, t *xmltree.Tree, workers int) (map[int]bool, error) {
-	all := make(map[int]bool)
-	for ci := range cs.clusters {
-		cl := &cs.clusters[ci]
-		if cl.label != t.Root.Label {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bad, ok, err := cs.shardVerdict(ctx, cl, t, workers)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			for fi := range bad {
-				all[fi] = true
-			}
-			continue
-		}
-		cs.checkCluster(cl, t, nil, func(i int, _ [2]tuples.Tuple) bool {
-			all[i] = true
-			return true
-		})
+	frags := cs.SplitFragments(t, workers)
+	states := make([]*FoldState, len(frags))
+	err := pool.ForEachCtx(ctx, workers, len(frags), func(i int) error {
+		states[i] = cs.NewFoldState()
+		states[i].fold(frags[i], nil)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return all, nil
+	for _, st := range states[1:] {
+		if err := states[0].Merge(st); err != nil {
+			return nil, err
+		}
+	}
+	return states[0].ViolatedSet(), nil
 }
 
-// SatisfiesAllSharded is SatisfiesAll with each cluster's verdict pass
-// fanned out over the root's top-level sibling choices on up to
-// workers goroutines (workers <= 1, or a document with nothing to fan
-// out, falls back to the sequential walk). The verdict is identical to
-// SatisfiesAll's.
+// SatisfiesAllSharded is SatisfiesAll with the verdict pass fanned out
+// over up to workers fragments of the document (see SplitFragments;
+// workers <= 1, or a document with nothing to split, folds it whole).
+// The verdict is identical to SatisfiesAll's.
 func (cs *CheckerSet) SatisfiesAllSharded(t *xmltree.Tree, workers int) bool {
 	ok, _ := cs.SatisfiesAllShardedCtx(context.Background(), t, workers)
 	return ok
 }
 
 // SatisfiesAllShardedCtx is SatisfiesAllSharded under a context: a
-// cancellation aborts the remaining shards promptly and returns the
+// cancellation aborts the remaining fragments promptly and returns the
 // context's error (the verdict is then meaningless).
 func (cs *CheckerSet) SatisfiesAllShardedCtx(ctx context.Context, t *xmltree.Tree, workers int) (bool, error) {
 	bad, err := cs.violatedSharded(ctx, t, workers)
@@ -526,11 +373,11 @@ func (cs *CheckerSet) SatisfiesAllShardedCtx(ctx context.Context, t *xmltree.Tre
 	return len(bad) == 0, nil
 }
 
-// ViolationsSharded is Violations with each cluster's verdict pass
-// sharded across up to workers goroutines. Witnesses are then
-// re-derived by sequential streams restricted to the violated FDs, so
-// the report — witnesses included — is identical to Violations'
-// regardless of worker count or scheduling. Documents that satisfy Σ
+// ViolationsSharded is Violations with the verdict pass sharded across
+// up to workers goroutines. Witnesses are then re-derived by
+// sequential streams restricted to the violated FDs, so the report —
+// witnesses included — is identical to Violations' regardless of
+// worker count or scheduling. Documents that satisfy Σ
 // (the common case) never pay for the witness pass.
 func (cs *CheckerSet) ViolationsSharded(t *xmltree.Tree, workers int) []Violated {
 	out, _ := cs.ViolationsShardedCtx(context.Background(), t, workers)
@@ -539,7 +386,7 @@ func (cs *CheckerSet) ViolationsSharded(t *xmltree.Tree, workers int) []Violated
 
 // ViolationsShardedCtx is ViolationsSharded under a context, the form
 // a server uses so shutdown and per-request deadlines stop in-flight
-// checks: once ctx is cancelled, no further shard is started and the
+// checks: once ctx is cancelled, no further fragment is started and the
 // context's error is returned with a nil report.
 func (cs *CheckerSet) ViolationsShardedCtx(ctx context.Context, t *xmltree.Tree, workers int) ([]Violated, error) {
 	bad, err := cs.violatedSharded(ctx, t, workers)

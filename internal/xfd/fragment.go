@@ -10,8 +10,10 @@ package xfd
 // therefore factors over any partition of the projection stream: fold
 // each part into its own FoldState, then Merge the states — a group
 // violates iff some pair of per-part representatives of one LHS key
-// disagrees, exactly what the sharded verdict pass (shardVerdict)
-// exploits and what the PR-4 differential suites pinned bit-identical.
+// disagrees. fdFold.add and fdFold.merge are that fold and that merge;
+// the sharded check, fragment folds, distributed workers and the
+// coordinator all run through them, and the differential suites pin
+// every one bit-identical to the whole-document check.
 //
 // SplitFragments produces such a partition structurally: it splits the
 // document at ONE top-level sibling group (a relevant root-child
@@ -19,16 +21,16 @@ package xfd
 // children plus every child of every other label. For clusters whose
 // projection chooses in that group, the fragment streams partition the
 // full stream as a multiset (tuples.StreamPinned's factorization);
-// for clusters that ignore the group, every fragment replays the full
-// stream — k identical folds, which neither create nor destroy
-// conflicts and merge idempotently. Either way the merged verdict is
-// the whole-document verdict, so a document distributed as fragments
-// (Abiteboul–Gottlob–Manna, Distributed XML Design) checks as
-// independently computed states combined associatively — the substrate
-// for multi-node scale-out.
+// for clusters that ignore the group, every fragment would replay the
+// full stream, so only the fragment starting at ordinal 0 folds them.
+// Either way the merged verdict is the whole-document verdict, so a
+// document distributed as fragments (Abiteboul–Gottlob–Manna,
+// Distributed XML Design) checks as independently computed states
+// combined associatively — the substrate for multi-node scale-out.
 //
-// Portability: fold keys never embed process-minted vertex IDs.
-// An element value is keyed by its positional address — the spine of
+// Portability: FoldFragment's fold keys never embed process-minted
+// vertex IDs (only the in-process sharded check, whose fragments share
+// one tree, keys vertices by NodeID). An element value is keyed by its positional address — the spine of
 // per-label sibling ordinals from the root (the root itself is the
 // empty spine; each step records the node's index among its same-label
 // siblings). Within one label path — and an FD side always compares
@@ -49,15 +51,20 @@ package xfd
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
+	"xmlnorm/internal/paths"
 	"xmlnorm/internal/tuples"
 	"xmlnorm/internal/xmltree"
 )
 
 // foldStateMagic versions the FoldState wire encoding.
 const foldStateMagic = "xnfFS1\x00"
+
+var errTruncated = errors.New("xfd: fold state: truncated")
 
 // FoldState is the outcome of folding some sub-multiset of a
 // document's projected tuples under one compiled CheckerSet: per FD, a
@@ -72,15 +79,52 @@ type FoldState struct {
 	fds []fdFold
 }
 
-// fdFold is one FD's share of the state. groups maps the fold's LHS
-// key to the RHS-class key of the group's representative; once
-// violated is set the groups map is irrelevant (violation is absorbing
-// under Merge) and is dropped — Fold, Merge and UnmarshalFoldState all
-// nil it out, so a long-lived state for a violating document retains
-// no dead group map.
+// fdFold is one FD's share of the state and the verdict fold itself.
+// groups maps the fold's LHS key to the RHS-class key of the group's
+// representative; once violated is set the groups map is irrelevant
+// (violation is absorbing under merge) and is dropped — add, merge and
+// UnmarshalFoldState all nil it out, so a long-lived state for a
+// violating document retains no dead group map.
 type fdFold struct {
 	groups   map[string]string
 	violated bool
+}
+
+// add folds one tuple's (LHS key, RHS class) pair into an unviolated
+// fold. fresh reports that the pair opened a new LHS group, conflict
+// that it disagreed with its group's representative — which violates
+// the FD.
+func (f *fdFold) add(lhsK, rhsK []byte) (fresh, conflict bool) {
+	rep, seen := f.groups[string(lhsK)]
+	switch {
+	case !seen:
+		f.groups[string(lhsK)] = string(rhsK)
+		return true, false
+	case rep == string(rhsK):
+		return false, false
+	}
+	f.violated, f.groups = true, nil
+	return false, true
+}
+
+// merge folds src's representatives into f. Within a conflict-free
+// fold every member of a group RHS-agrees with its representative, and
+// RHS agreement is transitive, so comparing representatives decides
+// exactly the conflicts folding the union multiset would find.
+func (f *fdFold) merge(src *fdFold) {
+	if src.violated {
+		f.violated, f.groups = true, nil
+	}
+	for lhsK, rhsK := range src.groups {
+		if f.violated {
+			return
+		}
+		if rep, seen := f.groups[lhsK]; !seen {
+			f.groups[lhsK] = rhsK
+		} else if rep != rhsK {
+			f.violated, f.groups = true, nil
+		}
+	}
 }
 
 // Fragment is one independently checkable piece of a document, as
@@ -117,19 +161,29 @@ func (st *FoldState) Fold(t *xmltree.Tree) { st.FoldFragment(Fragment{Tree: t}) 
 // f.Start (see the package comment), so a state folded from the whole
 // document decides each FD exactly like CheckerSet.Check, and states
 // folded from SplitFragments' fragments — in this process or any other
-// — merge to the whole-document verdict. Folding several fragments
-// into one state is equivalent to folding each into its own state and
-// merging. A cluster walk short-circuits once all its FDs are violated
-// (violation is absorbing).
+// — merge to the whole-document verdict. A cluster that does not
+// choose in the split group f.Label sees the whole document's stream
+// in every fragment, so only the fragment with f.Start == 0 folds it.
+// Folding several fragments into one state is equivalent to folding
+// each into its own state and merging. A cluster walk short-circuits
+// once all its FDs are violated (violation is absorbing).
 func (st *FoldState) FoldFragment(f Fragment) {
-	cs := st.cs
 	var addrs map[xmltree.NodeID]string
-	if cs.elemSides {
+	if st.cs.elemSides {
 		addrs = fragmentAddrs(f)
 	}
+	st.fold(f, addrs)
+}
+
+// fold is FoldFragment with the vertex encoding chosen by the caller:
+// positional addresses from addrs, or NodeIDs when addrs is nil — which
+// is sound only among states folded from fragments sharing one
+// document's nodes.
+func (st *FoldState) fold(f Fragment, addrs map[xmltree.NodeID]string) {
+	cs := st.cs
 	for ci := range cs.clusters {
 		cl := &cs.clusters[ci]
-		if cl.label != f.Tree.Root.Label {
+		if cl.label != f.Tree.Root.Label || (f.Start > 0 && !slices.Contains(cl.pr.RootChoiceLabels(), f.Label)) {
 			continue
 		}
 		remaining := 0
@@ -148,22 +202,14 @@ func (st *FoldState) FoldFragment(f Fragment) {
 				if fd.violated {
 					continue
 				}
-				lhsK, rhsK, applies := cs.appendPortableKeys(tup, fi, addrs, lhsBuf[:0], rhsBuf[:0])
+				lhsK, rhsK, applies := cs.foldKeys(tup, fi, addrs, lhsBuf[:0], rhsBuf[:0])
 				lhsBuf, rhsBuf = lhsK, rhsK
 				if !applies {
 					continue
 				}
-				rep, seen := fd.groups[string(lhsK)]
-				if !seen {
-					fd.groups[string(lhsK)] = string(rhsK)
-					continue
+				if _, conflict := fd.add(lhsK, rhsK); conflict {
+					remaining--
 				}
-				if rep == string(rhsK) {
-					continue
-				}
-				fd.violated = true
-				fd.groups = nil
-				remaining--
 			}
 			return remaining > 0
 		})
@@ -195,7 +241,7 @@ func fragmentAddrs(f Fragment) map[xmltree.NodeID]string {
 			}
 			// Full-slice the prefix so sibling appends never share
 			// backing arrays.
-			addr := appendUvarint(prefix[:len(prefix):len(prefix)], uint64(ord))
+			addr := binary.AppendUvarint(prefix[:len(prefix):len(prefix)], uint64(ord))
 			addrs[c.ID] = string(addr)
 			walk(c, addr, depth+1)
 		}
@@ -204,83 +250,67 @@ func fragmentAddrs(f Fragment) map[xmltree.NodeID]string {
 	return addrs
 }
 
-// appendPortableKeys computes FD fi's fold keys for one projected
-// tuple — the FoldState analog of AppendFoldKeys, with every vertex
-// value encoded through the fragment's address table instead of its
-// process-minted NodeID, which is what makes marshaled states
-// comparable and mergeable across processes. addrs may be nil only
-// when no FD side of the set mentions an element-valued path.
-func (cs *CheckerSet) appendPortableKeys(tup tuples.Tuple, fi int, addrs map[xmltree.NodeID]string, lhsDst, rhsDst []byte) (lhsK, rhsK []byte, applies bool) {
+// foldKeys computes FD fi's fold keys for one projected tuple: the LHS
+// key the fold groups by and an RHS key that is equal between two
+// tuples of a group exactly when sameRHS holds, so an LHS group
+// violates the FD iff it holds two distinct RHS keys. applies is false
+// when some LHS value is ⊥ (the FD does not constrain the tuple; key
+// contents are then unspecified). Vertices are encoded through addrs
+// (see appendKey). Keys are appended to the dst slices (pass buf[:0]
+// to reuse); the returned slices alias them.
+func (cs *CheckerSet) foldKeys(tup tuples.Tuple, fi int, addrs map[xmltree.NodeID]string, lhsDst, rhsDst []byte) (lhsK, rhsK []byte, applies bool) {
 	cf := &cs.fds[fi]
-	lhsK = lhsDst
-	for _, id := range cf.lhs {
-		v, ok := tup.GetID(id)
-		if !ok {
-			return lhsK, rhsDst, false
-		}
-		lhsK = appendPortableValue(lhsK, v, addrs)
+	lhsK, applies = appendKey(lhsDst, tup, cf.lhs, addrs)
+	if !applies {
+		return lhsK, rhsDst, false
 	}
-	rhsK = rhsDst
-	for _, id := range cf.rhs {
-		v, ok := tup.GetID(id)
-		if !ok {
-			rhsK = append(rhsK, 0) // ⊥: present-vs-absent must differ
-			continue
-		}
-		rhsK = appendPortableValue(rhsK, v, addrs)
-	}
+	rhsK, _ = appendKey(rhsDst, tup, cf.rhs, addrs)
 	return lhsK, rhsK, true
 }
 
-// appendPortableValue appends one self-delimiting value encoding:
-// vertices as tag 1 + length-prefixed positional address, strings as
-// tag 2 + length-prefixed bytes (tag 0 is the RHS ⊥ marker).
-func appendPortableValue(dst []byte, v tuples.Value, addrs map[xmltree.NodeID]string) []byte {
-	if v.IsNode() {
-		a := addrs[v.Node()]
-		dst = append(dst, 1)
-		dst = appendUvarint(dst, uint64(len(a)))
-		return append(dst, a...)
+// appendKey appends an unambiguous encoding of the tuple's values at
+// ids to dst, one self-delimiting entry per path: tag 0 for ⊥, tag 1
+// plus the vertex for a vertex, tag 2 plus the length-prefixed bytes
+// for a string. A vertex is its uvarint NodeID when addrs is nil, and
+// its length-prefixed positional address from addrs otherwise — the
+// portable form, comparable across processes. complete is false when
+// some value is ⊥.
+func appendKey(dst []byte, tup tuples.Tuple, ids []paths.ID, addrs map[xmltree.NodeID]string) (key []byte, complete bool) {
+	complete = true
+	for _, id := range ids {
+		v, ok := tup.GetID(id)
+		switch {
+		case !ok:
+			dst = append(dst, 0)
+			complete = false
+		case !v.IsNode():
+			s := v.Str()
+			dst = binary.AppendUvarint(append(dst, 2), uint64(len(s)))
+			dst = append(dst, s...)
+		case addrs == nil:
+			dst = binary.AppendUvarint(append(dst, 1), uint64(v.Node()))
+		default:
+			a := addrs[v.Node()]
+			dst = binary.AppendUvarint(append(dst, 1), uint64(len(a)))
+			dst = append(dst, a...)
+		}
 	}
-	s := v.Str()
-	dst = append(dst, 2)
-	dst = appendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
+	return dst, complete
 }
 
 // Merge folds another state into this one. Merge is associative and
 // commutative on verdicts: a violated flag absorbs, and an LHS group
 // becomes violated as soon as two representatives with distinct RHS
-// classes meet — since within a conflict-free part every member of a
-// group RHS-agrees with its representative and RHS agreement is
-// transitive, the merged verdict per FD is exactly the verdict of
-// folding the union multiset. Both states must come from the same
-// CheckerSet (or its UnmarshalFoldState); other is not mutated and
-// remains usable.
+// classes meet, so the merged verdict per FD is exactly the verdict of
+// folding the union multiset (see fdFold.merge). Both states must come
+// from the same CheckerSet (or its UnmarshalFoldState); other is not
+// mutated and remains usable.
 func (st *FoldState) Merge(other *FoldState) error {
 	if other.cs != st.cs || len(other.fds) != len(st.fds) {
 		return fmt.Errorf("xfd: merging fold states of different checker sets")
 	}
 	for fi := range st.fds {
-		dst, src := &st.fds[fi], &other.fds[fi]
-		if dst.violated {
-			continue
-		}
-		if src.violated {
-			dst.violated, dst.groups = true, nil
-			continue
-		}
-		for lhsK, rhsK := range src.groups {
-			rep, seen := dst.groups[lhsK]
-			if !seen {
-				dst.groups[lhsK] = rhsK
-				continue
-			}
-			if rep != rhsK {
-				dst.violated, dst.groups = true, nil
-				break
-			}
-		}
+		st.fds[fi].merge(&other.fds[fi])
 	}
 	return nil
 }
@@ -361,7 +391,10 @@ func (st *FoldState) MarshalBinary() ([]byte, error) {
 // UnmarshalFoldState decodes a state MarshalBinary produced, bound to
 // this CheckerSet. The encoding carries the FD count as a cheap guard;
 // it is the caller's contract that the bytes were marshaled under an
-// identically compiled set (same Σ in the same order).
+// identically compiled set (same Σ in the same order). The bytes may
+// come from another process, so every count and length is checked
+// against the bytes that remain before anything is allocated for it,
+// and an LHS key listed twice is rejected.
 func (cs *CheckerSet) UnmarshalFoldState(data []byte) (*FoldState, error) {
 	if len(data) < len(foldStateMagic) || string(data[:len(foldStateMagic)]) != foldStateMagic {
 		return nil, fmt.Errorf("xfd: fold state: bad magic")
@@ -372,30 +405,29 @@ func (cs *CheckerSet) UnmarshalFoldState(data []byte) (*FoldState, error) {
 		return nil, fmt.Errorf("xfd: fold state: encoded for %d FDs, checker set has %d", n, len(cs.fds))
 	}
 	data = data[k:]
-	readUvarint := func() (uint64, error) {
+	// readUvarint reads a count or length, which must not exceed
+	// len(data)/per: each counted item takes at least per bytes.
+	readUvarint := func(per int) (int, error) {
 		v, k := binary.Uvarint(data)
-		if k <= 0 {
-			return 0, fmt.Errorf("xfd: fold state: truncated")
+		if k <= 0 || v > uint64((len(data)-k)/per) {
+			return 0, errTruncated
 		}
 		data = data[k:]
-		return v, nil
+		return int(v), nil
 	}
-	readBytes := func() (string, error) {
-		l, err := readUvarint()
+	readBytes := func() ([]byte, error) {
+		l, err := readUvarint(1)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		if uint64(len(data)) < l {
-			return "", fmt.Errorf("xfd: fold state: truncated")
-		}
-		s := string(data[:l])
+		b := data[:l]
 		data = data[l:]
-		return s, nil
+		return b, nil
 	}
 	st := &FoldState{cs: cs, fds: make([]fdFold, len(cs.fds))}
 	for fi := range st.fds {
 		if len(data) == 0 {
-			return nil, fmt.Errorf("xfd: fold state: truncated")
+			return nil, errTruncated
 		}
 		violated := data[0] != 0
 		data = data[1:]
@@ -403,12 +435,13 @@ func (cs *CheckerSet) UnmarshalFoldState(data []byte) (*FoldState, error) {
 			st.fds[fi].violated = true
 			continue
 		}
-		groups, err := readUvarint()
+		// A group is two length prefixes at least.
+		groups, err := readUvarint(2)
 		if err != nil {
 			return nil, err
 		}
 		st.fds[fi].groups = make(map[string]string, groups)
-		for g := uint64(0); g < groups; g++ {
+		for g := 0; g < groups; g++ {
 			lhsK, err := readBytes()
 			if err != nil {
 				return nil, err
@@ -417,7 +450,9 @@ func (cs *CheckerSet) UnmarshalFoldState(data []byte) (*FoldState, error) {
 			if err != nil {
 				return nil, err
 			}
-			st.fds[fi].groups[lhsK] = rhsK
+			if fresh, _ := st.fds[fi].add(lhsK, rhsK); !fresh {
+				return nil, fmt.Errorf("xfd: fold state: LHS key listed twice")
+			}
 		}
 	}
 	if len(data) != 0 {

@@ -3,14 +3,13 @@ package xfd
 // Exported fold/unfold hooks for the incremental checking engine
 // (internal/incremental). A CheckerSet compiles Σ into clusters, each
 // with a union projector and per-FD (LHS, RHS) path-ID sides; the
-// sequential and sharded passes fold projection streams into per-FD
-// LHS-keyed group maps using those compiled sides. The incremental
-// Session maintains the same group maps with reference counts across
-// edits, so it needs the cluster layout, the projectors (to run pinned
-// delta streams), and the exact key encodings — exposed here so the
-// maps it maintains are keyed identically to the ones a from-scratch
-// pass would build, which is what makes "re-derive witnesses through
-// checkCluster" yield reports bit-identical to Violations.
+// folds decide each FD by grouping projection streams on LHS keys. The
+// incremental Session maintains such group maps with reference counts
+// across edits, so it needs the cluster layout, the projectors (to run
+// pinned delta streams), and the fold-key encoding (AppendFoldKeys,
+// the one the verdict fold uses). Its verdicts then go through
+// WitnessReport, which re-derives witnesses with the same witness fold
+// Violations runs, so its reports are bit-identical to Violations.
 
 import (
 	"xmlnorm/internal/tuples"
@@ -37,59 +36,35 @@ func (cs *CheckerSet) ClusterProjector(ci int) *tuples.Projector { return cs.clu
 
 // AppendFoldKeys computes the group-map keys of one projected tuple
 // under FD fi (Σ index): the LHS key the fold groups by and an RHS key
-// that is equal between two tuples of a group exactly when sameRHS
-// holds — i.e. grouping refcounts by (lhsKey, rhsKey) counts RHS
-// equivalence classes, and an LHS group violates the FD iff it holds
-// two distinct RHS keys. applies is false when some LHS value is ⊥
-// (the FD does not constrain the tuple; key contents are then
-// unspecified). Keys are appended to the dst slices (pass buf[:0] to
-// reuse); the returned slices alias them.
+// that is equal between two tuples of a group exactly when their RHS
+// values agree (⊥ = ⊥ included) — i.e. grouping refcounts by (LHS
+// key, RHS key) counts RHS equivalence classes, and an LHS group
+// violates the FD iff it holds two distinct RHS keys. Vertices are keyed by
+// NodeID, so keys compare only within one process. applies is false
+// when some LHS value is ⊥ (the FD does not constrain the tuple; key
+// contents are then unspecified). Keys are appended to the dst slices
+// (pass buf[:0] to reuse); the returned slices alias them.
 func (cs *CheckerSet) AppendFoldKeys(tup tuples.Tuple, fi int, lhsDst, rhsDst []byte) (lhsK, rhsK []byte, applies bool) {
-	cf := &cs.fds[fi]
-	lhsK, ok := lhsKey(tup, cf.lhs, lhsDst)
-	if !ok {
-		return lhsK, rhsDst, false
-	}
-	rhsK = rhsDst
-	for _, id := range cf.rhs {
-		v, ok := tup.GetID(id)
-		switch {
-		case !ok:
-			rhsK = append(rhsK, 0) // ⊥: present-vs-absent must differ
-		case v.IsNode():
-			rhsK = append(rhsK, 1)
-			rhsK = appendUvarint(rhsK, uint64(v.Node()))
-		default:
-			s := v.Str()
-			rhsK = append(rhsK, 2)
-			rhsK = appendUvarint(rhsK, uint64(len(s)))
-			rhsK = append(rhsK, s...)
-		}
-	}
-	return lhsK, rhsK, true
+	return cs.foldKeys(tup, fi, nil, lhsDst, rhsDst)
 }
 
 // WitnessReport re-derives the violation report for a known verdict:
-// given the set of violated FD indices, it runs one sequential stream
-// per applicable cluster restricted to those FDs and returns the same
+// given the set of violated FD indices, it runs the witness fold
+// (clusterFold) over one stream per applicable cluster holding a
+// violated FD, restricted to those FDs, and returns the same
 // []Violated — first-conflict witnesses in Σ order — that Violations
-// would produce on the document. This is how both the sharded checker
-// and the incremental Session turn a cheap verdict into the canonical
-// report; a nil/empty bad set returns nil without walking anything.
+// would produce on the document. This is how the sharded checker, the
+// fragment and distributed folds and the incremental Session turn a
+// cheap verdict into the canonical report; a nil/empty bad set returns
+// nil without walking anything.
 func (cs *CheckerSet) WitnessReport(t *xmltree.Tree, bad map[int]bool) []Violated {
 	if len(bad) == 0 {
 		return nil
 	}
 	witnesses := make(map[int][2]tuples.Tuple, len(bad))
-	for ci := range cs.clusters {
-		cl := &cs.clusters[ci]
-		if cl.label != t.Root.Label {
-			continue
-		}
-		cs.checkCluster(cl, t, bad, func(i int, w [2]tuples.Tuple) bool {
-			witnesses[i] = w
-			return true
-		})
-	}
+	cs.check(t, bad, func(i int, w [2]tuples.Tuple) bool {
+		witnesses[i] = w
+		return true
+	})
 	return cs.report(witnesses)
 }

@@ -5,12 +5,15 @@
 // maximal tuples that agree on S1 with non-null values also agree on S2
 // (where ⊥ = ⊥ counts as agreement on the right-hand side).
 //
-// Checking an entire Σ is one clustered fold (CheckerSet) with several
-// frontends — whole tree (Violations), sharded tree
-// (ViolationsSharded), io.Reader stream (CheckReader), and mergeable
-// per-fragment fold states (FoldState) — all pinned bit-identical to
-// each other by differential suites; ARCHITECTURE.md (layers 3 and 3b)
-// at the repo root maps them out.
+// Checking an entire Σ is a clustered streaming check (CheckerSet)
+// built on two folds, each written once: the witness fold, which keeps
+// a witness pair per violated FD and serves the whole tree
+// (Violations), the one-FD Checker and the io.Reader stream
+// (CheckReader); and the mergeable verdict fold, which serves
+// per-fragment fold states (FoldState) and the sharded tree
+// (ViolationsSharded). Every driver is pinned bit-identical to the
+// others by differential suites; ARCHITECTURE.md (layers 3 and 3b) at
+// the repo root maps them out.
 package xfd
 
 import (
@@ -309,35 +312,26 @@ func (f FD) SingleRHS() []FD {
 }
 
 // Checker is a compiled satisfaction check for one FD over a path
-// universe: a projection plan (shared across trees) plus the FD's sides
-// pre-resolved to IDs. Build once, reuse across trees — a Checker is
-// read-only after construction and safe for concurrent use.
+// universe: a one-FD CheckerSet, so the check streams the FD's
+// projection through the same witness fold that decides a whole Σ.
+// Build once, reuse across trees — a Checker is read-only after
+// construction and safe for concurrent use.
 type Checker struct {
-	fd  FD
-	pr  *tuples.Projector
-	lhs []paths.ID
-	rhs []paths.ID
+	cs *CheckerSet
 }
 
 // NewChecker compiles the FD against the universe. Every path of the FD
 // must be interned in the universe.
 func NewChecker(u *paths.Universe, f FD) (*Checker, error) {
-	pr, err := tuples.NewProjector(u, f.Paths())
+	cs, err := NewCheckerSet(u, []FD{f})
 	if err != nil {
-		return nil, fmt.Errorf("xfd: %s: %v", f, err)
+		return nil, err
 	}
-	c := &Checker{fd: f, pr: pr}
-	for _, p := range f.LHS {
-		c.lhs = append(c.lhs, u.MustLookup(p))
-	}
-	for _, p := range f.RHS {
-		c.rhs = append(c.rhs, u.MustLookup(p))
-	}
-	return c, nil
+	return &Checker{cs: cs}, nil
 }
 
 // FD returns the compiled dependency.
-func (c *Checker) FD() FD { return c.fd }
+func (c *Checker) FD() FD { return c.cs.FDAt(0) }
 
 // Satisfies checks T ⊨ f.
 func (c *Checker) Satisfies(t *xmltree.Tree) bool {
@@ -346,29 +340,11 @@ func (c *Checker) Satisfies(t *xmltree.Tree) bool {
 }
 
 // Violation returns a witness pair of projected tuples violating the
-// FD, if any. The projections are streamed (tuples.Projector.Stream)
-// and folded into a map keyed by LHS values — within a group all RHS
-// projections must agree — so the check never materializes the tuple
-// product and stops at the first conflict.
+// FD, if any: the first conflict in enumeration order, found without
+// materializing the tuple product (see CheckerSet.Check).
 func (c *Checker) Violation(t *xmltree.Tree) (witness [2]tuples.Tuple, bad bool) {
-	groups := make(map[string]tuples.Tuple)
-	var buf []byte
-	c.pr.Stream(t, func(tup tuples.Tuple) bool {
-		key, ok := lhsKey(tup, c.lhs, buf[:0])
-		buf = key
-		if !ok {
-			return true // some LHS value is ⊥: the FD does not apply
-		}
-		first, seen := groups[string(key)]
-		if !seen {
-			// The stream reuses its scratch tuple; clone what we keep.
-			groups[string(key)] = tup.Clone()
-			return true
-		}
-		if sameRHS(first, tup, c.rhs) {
-			return true
-		}
-		witness, bad = [2]tuples.Tuple{first, tup.Clone()}, true
+	c.cs.Check(t, func(_ int, w [2]tuples.Tuple) bool {
+		witness, bad = w, true
 		return false
 	})
 	return witness, bad
@@ -410,11 +386,12 @@ func SatisfiesAll(t *xmltree.Tree, sigma []FD) bool {
 }
 
 // sigmaUniverse interns the paths of a whole FD set into one query
-// universe.
+// universe. ForQuery skips repeats, so interning each FD's sides in
+// turn assigns the IDs interning its Paths() would.
 func sigmaUniverse(sigma []FD) *paths.Universe {
 	var ps []dtd.Path
 	for _, f := range sigma {
-		ps = append(ps, f.Paths()...)
+		ps = append(append(ps, f.LHS...), f.RHS...)
 	}
 	return paths.ForQuery(ps)
 }
@@ -427,35 +404,8 @@ func NewCheckerSetFor(sigma []FD) (*CheckerSet, error) {
 	return NewCheckerSet(sigmaUniverse(sigma), sigma)
 }
 
-// lhsKey appends an unambiguous binary encoding of the tuple's LHS
-// values to dst; ok is false when some LHS value is ⊥.
-func lhsKey(t tuples.Tuple, lhs []paths.ID, dst []byte) (key []byte, ok bool) {
-	for _, id := range lhs {
-		v, ok := t.GetID(id)
-		if !ok {
-			return dst, false
-		}
-		if v.IsNode() {
-			dst = append(dst, 1)
-			dst = appendUvarint(dst, uint64(v.Node()))
-		} else {
-			s := v.Str()
-			dst = append(dst, 2)
-			dst = appendUvarint(dst, uint64(len(s)))
-			dst = append(dst, s...)
-		}
-	}
-	return dst, true
-}
-
-func appendUvarint(dst []byte, x uint64) []byte {
-	for x >= 0x80 {
-		dst = append(dst, byte(x)|0x80)
-		x >>= 7
-	}
-	return append(dst, byte(x))
-}
-
+// sameRHS reports whether two tuples agree on the RHS paths, ⊥ = ⊥
+// counting as agreement.
 func sameRHS(a, b tuples.Tuple, rhs []paths.ID) bool {
 	for _, id := range rhs {
 		av, aok := a.GetID(id)
