@@ -138,7 +138,7 @@ func (d *DTD) IsPath(p Path) bool {
 		if step == TextStep {
 			return last && elem.Kind == TextContent
 		}
-		if elem.Kind != ModelContent || !alphabetHas(elem.Model.Alphabet(), step) {
+		if elem.Kind != ModelContent || !elem.Model.HasLetter(step) {
 			return false
 		}
 		elem = d.elems[step]
@@ -147,15 +147,6 @@ func (d *DTD) IsPath(p Path) bool {
 		}
 	}
 	return true
-}
-
-func alphabetHas(alpha []string, name string) bool {
-	for _, a := range alpha {
-		if a == name {
-			return true
-		}
-	}
-	return false
 }
 
 // IsRecursive reports whether paths(D) is infinite, i.e. some element

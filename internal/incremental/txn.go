@@ -493,6 +493,14 @@ func (t *Txn) Commit() error {
 	}
 	t.done = true
 	s := t.s
+	// A reader that pinned the outgoing epoch may have turned reporting
+	// mode on while this transaction held the writer lock; it is now
+	// waiting to seal that epoch, which this commit is about to
+	// displace. Seal it here, against its own tree. Reporting mode is
+	// sticky, so this happens at most once per Session.
+	if sn := s.snap.Load(); s.reporting.Load() && len(sn.violated) > 0 && sn.report.Load() == nil {
+		t.sealOutgoing(sn)
+	}
 	for ci := range s.clusters {
 		for id := range t.dirty[ci] {
 			spine, err := s.ix.Spine(id)
@@ -541,10 +549,25 @@ func (t *Txn) Rollback() error {
 	return nil
 }
 
-// applyUndo reverses one recorded mutation. Failures here are
-// impossible states (the log mirrors mutations that succeeded) and
-// panic.
-func (t *Txn) applyUndo(r undoRec) {
+// sealOutgoing seals sn, the published epoch, while the tree holds
+// this transaction's edits: it undoes them (restoring sn's tree), seals,
+// and redoes them. The fold state is not touched.
+func (t *Txn) sealOutgoing(sn *Snapshot) {
+	redo := make([]undoRec, len(t.undo))
+	for i := len(t.undo) - 1; i >= 0; i-- {
+		redo[i] = t.applyUndo(t.undo[i])
+	}
+	t.s.sealLocked(sn)
+	for _, r := range redo {
+		t.applyUndo(r)
+	}
+}
+
+// applyUndo reverses one recorded mutation and returns the record that
+// reverses the reversal (applying it redoes the mutation). Failures
+// here are impossible states (the log mirrors mutations that
+// succeeded) and panic.
+func (t *Txn) applyUndo(r undoRec) undoRec {
 	s := t.s
 	switch r.kind {
 	case opSetAttr:
@@ -552,29 +575,44 @@ func (t *Txn) applyUndo(r undoRec) {
 		if err != nil {
 			panic(fmt.Sprintf("incremental: rollback lost node #%d: %v", r.node, err))
 		}
+		cur, had := n.Attr(r.name)
 		if r.had {
 			n.SetAttr(r.name, r.val)
 		} else {
 			delete(n.Attrs, r.name)
 		}
+		return undoRec{kind: opSetAttr, node: r.node, name: r.name, val: cur, had: had}
 	case opSetText:
 		n, err := s.ix.Node(r.node)
 		if err != nil {
 			panic(fmt.Sprintf("incremental: rollback lost node #%d: %v", r.node, err))
 		}
+		cur, had := n.Text, n.HasText
 		if r.had {
 			n.SetText(r.val)
 		} else {
 			n.Text = ""
 			n.HasText = false
 		}
+		return undoRec{kind: opSetText, node: r.node, val: cur, had: had}
 	case opInsert:
+		spine, err := s.ix.Spine(r.node)
+		if err != nil {
+			panic(fmt.Sprintf("incremental: rollback lost inserted #%d: %v", r.node, err))
+		}
+		pos, err := s.ix.ChildIndex(r.node)
+		if err != nil {
+			panic(fmt.Sprintf("incremental: rollback lost inserted #%d: %v", r.node, err))
+		}
 		if err := s.ix.DeleteSubtree(r.node); err != nil {
 			panic(fmt.Sprintf("incremental: rollback cannot remove inserted #%d: %v", r.node, err))
 		}
+		return undoRec{kind: opDelete, node: r.node, parent: spine[len(spine)-2].ID, pos: pos, sub: spine[len(spine)-1]}
 	case opDelete:
 		if err := s.ix.GraftSubtreeAt(r.parent, r.pos, r.sub); err != nil {
 			panic(fmt.Sprintf("incremental: rollback cannot re-attach #%d: %v", r.node, err))
 		}
+		return undoRec{kind: opInsert, node: r.node}
 	}
+	panic(fmt.Sprintf("incremental: unknown undo record kind %d", r.kind))
 }

@@ -20,6 +20,7 @@ package paths
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"xmlnorm/internal/dtd"
 	"xmlnorm/internal/regex"
@@ -89,6 +90,7 @@ type Universe struct {
 	byString map[string]ID
 	kids     []map[string]ID // per ID: child step -> child ID (nil when childless)
 	lexOrder []ID            // IDs sorted by Str; reproduces sorted-string-key iteration
+	dotted   bool            // some interned step contains '.'; Lookup goes by rendering
 }
 
 // New interns paths(D) for a non-recursive DTD in breadth-first order
@@ -148,16 +150,18 @@ func newUniverse(capHint int) *Universe {
 }
 
 // intern adds a path (whose parent, if any, must already be interned)
-// and returns its ID; re-interning is a no-op.
+// and returns its ID; re-interning is a no-op. Only a newly interned
+// path pays for its dotted string.
 func (u *Universe) intern(p dtd.Path) ID {
-	s := p.String()
-	if id, ok := u.byString[s]; ok {
+	if id, ok := u.Lookup(p); ok {
 		return id
 	}
+	s := p.String()
+	u.dotted = u.dotted || hasDot(p)
 	id := ID(len(u.infos))
 	info := Info{Path: p, Str: s, Parent: None, Depth: len(p), Kind: kindOf(p), Mult: regex.One}
 	if len(p) > 1 {
-		parent := u.byString[p.Parent().String()]
+		parent, _ := u.Lookup(p.Parent())
 		info.Parent = parent
 		if u.kids[parent] == nil {
 			u.kids[parent] = map[string]ID{}
@@ -168,6 +172,17 @@ func (u *Universe) intern(p dtd.Path) ID {
 	u.byString[s] = id
 	u.kids = append(u.kids, nil)
 	return id
+}
+
+// hasDot reports whether a step of p contains '.', so that its dotted
+// rendering could also be read as a different path.
+func hasDot(p dtd.Path) bool {
+	for _, step := range p {
+		if strings.IndexByte(step, '.') >= 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // finish precomputes the lexicographic iteration order.
@@ -189,8 +204,22 @@ func (u *Universe) DTD() *dtd.DTD { return u.d }
 func (u *Universe) Size() int { return len(u.infos) }
 
 // Lookup returns the ID of a path, or (None, false) if it is not in
-// the universe.
-func (u *Universe) Lookup(p dtd.Path) (ID, bool) { return u.LookupString(p.String()) }
+// the universe. It walks the universe step by step without rendering
+// the path, except where a step contains '.': dotted renderings are
+// ambiguous then, and the rendering decides as it always has.
+func (u *Universe) Lookup(p dtd.Path) (ID, bool) {
+	if len(p) == 0 || u.dotted || hasDot(p) {
+		return u.LookupString(p.String())
+	}
+	id, ok := u.byString[p[0]]
+	for i := 1; ok && i < len(p); i++ {
+		id, ok = u.Child(id, p[i])
+	}
+	if !ok {
+		return None, false
+	}
+	return id, true
+}
 
 // LookupString is Lookup on the dotted rendering.
 func (u *Universe) LookupString(s string) (ID, bool) {

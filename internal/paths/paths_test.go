@@ -186,3 +186,25 @@ func TestMultiWordUniverse(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupWalksSteps: Lookup walks the universe by step and agrees
+// with the dotted rendering, including when a step contains '.' and
+// the rendering is ambiguous.
+func TestLookupWalksSteps(t *testing.T) {
+	u := ForQuery([]dtd.Path{{"r", "a", "b"}, {"r", "c"}})
+	for _, p := range []dtd.Path{{"r"}, {"r", "a"}, {"r", "a", "b"}, {"r", "c"}, {"r", "x"}, {"q"}, {"r", "a", "b", "z"}} {
+		got, gok := u.Lookup(p)
+		want, wok := u.LookupString(p.String())
+		if got != want || gok != wok {
+			t.Errorf("Lookup(%v) = %v, %v; LookupString = %v, %v", p, got, gok, want, wok)
+		}
+	}
+	dotted := ForQuery([]dtd.Path{{"r", "a.b"}})
+	id, ok := dotted.Lookup(dtd.Path{"r", "a.b"})
+	if !ok || dotted.StringOf(id) != "r.a.b" {
+		t.Fatalf("dotted step: Lookup = %v, %v", id, ok)
+	}
+	if alias, ok := dotted.Lookup(dtd.Path{"r", "a", "b"}); !ok || alias != id {
+		t.Fatalf("dotted rendering r.a.b: Lookup = %v, %v, want %v as LookupString", alias, ok, id)
+	}
+}

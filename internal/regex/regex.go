@@ -158,6 +158,24 @@ func (e *Expr) collectAlphabet(set map[string]bool) {
 	}
 }
 
+// HasLetter reports whether name is in e's alphabet, walking the
+// expression without building the alphabet.
+func (e *Expr) HasLetter(name string) bool {
+	switch e.Kind {
+	case KindLetter:
+		return e.Name == name
+	case KindConcat, KindUnion:
+		for _, s := range e.Subs {
+			if s.HasLetter(name) {
+				return true
+			}
+		}
+	case KindStar, KindPlus, KindOpt:
+		return e.Sub.HasLetter(name)
+	}
+	return false
+}
+
 // Nullable reports whether ε is in the language of e.
 func (e *Expr) Nullable() bool {
 	switch e.Kind {

@@ -116,9 +116,20 @@ func TuplesOf(u *paths.Universe, t *xmltree.Tree, cap int) ([]Tuple, error) {
 	if n >= cap {
 		return nil, fmt.Errorf("tuples: tree has ≥ %d maximal tuples (cap %d)", n, cap)
 	}
+	// The clones are carved out of two arenas sized n × width (n is
+	// exact below the cap) instead of two allocations per tuple. Full
+	// slice expressions cap each clone, so a clone that grows
+	// reallocates rather than spilling into its neighbour.
+	width, words := u.Size(), len(u.NewSet())
+	vals := make([]Value, n*width)
+	sets := make(paths.Set, n*words)
 	out := make([]Tuple, 0, n)
 	err := Stream(u, t, func(tup Tuple) bool {
-		out = append(out, tup.Clone())
+		i := len(out)
+		c := Tuple{u: u, vals: vals[i*width : (i+1)*width : (i+1)*width], set: sets[i*words : (i+1)*words : (i+1)*words]}
+		copy(c.vals, tup.vals)
+		copy(c.set, tup.set)
+		out = append(out, c)
 		return true
 	})
 	if err != nil {

@@ -18,6 +18,7 @@ package xfd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -198,12 +199,12 @@ func (f FD) Validate(d *dtd.DTD) error {
 
 // Paths returns LHS ∪ RHS without duplicates, in order of appearance.
 func (f FD) Paths() []dtd.Path {
-	seen := map[string]bool{}
-	var out []dtd.Path
-	for _, p := range append(append([]dtd.Path{}, f.LHS...), f.RHS...) {
-		if !seen[p.String()] {
-			seen[p.String()] = true
-			out = append(out, p)
+	out := make([]dtd.Path, 0, len(f.LHS)+len(f.RHS))
+	for _, side := range [2][]dtd.Path{f.LHS, f.RHS} {
+		for _, p := range side {
+			if !slices.ContainsFunc(out, func(q dtd.Path) bool { return slices.Equal(p, q) }) {
+				out = append(out, p)
+			}
 		}
 	}
 	return out

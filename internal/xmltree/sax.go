@@ -1,17 +1,15 @@
 package xmltree
 
 import (
-	"bytes"
-	"encoding/xml"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // This file is the streaming (SAX-style) front end of the data model:
-// WalkTokens drives encoding/xml over a reader and delivers the
-// document as Open/Text/Close callbacks, enforcing exactly the same
-// structural rules as Parse — one root, no mixed content, no character
+// WalkTokens runs the scanner of scan.go over a reader — one reused
+// byte window, interned names, text handed out without copying — and
+// delivers the document as Open/Text/Close callbacks, enforcing the
+// structural rules of Parse: one root, no mixed content, no character
 // data outside the root, balanced tags. Parse itself is a WalkTokens
 // client that materializes a Tree; the tuple streamer (internal/tuples)
 // is a client that never does, which is what makes constant-memory
@@ -70,116 +68,28 @@ type TokenCallbacks struct {
 	Close func(label string) error
 }
 
-// wtFrame is one open element during a walk.
-type wtFrame struct {
-	label       string
-	hasChildren bool
-}
-
 // WalkTokens streams the XML document from r through cb. It accepts
 // exactly the documents Parse accepts and rejects the rest with a
 // *MalformedError carrying the same message Parse reports, except that
 // a positive maxDepth additionally rejects nesting beyond it with a
 // *DepthError (maxDepth <= 0 means unlimited). Memory use is bounded
-// by the nesting depth plus the largest single text node — nothing
-// proportional to the document is retained.
+// by the nesting depth plus the largest single token (text node, name
+// or start tag) — nothing proportional to the document is retained.
+// Attribute values are fresh strings that callbacks may keep; labels
+// are interned.
 func WalkTokens(r io.Reader, maxDepth int, cb TokenCallbacks) error {
-	dec := xml.NewDecoder(r)
-	var stack []wtFrame
-	var text []byte  // pending character data of the innermost element
-	var attrs []Attr // reused per StartElement
-	rootSeen := false
-	// flushText delivers and clears the pending character data of the
-	// innermost element; Parse's rules guarantee only the innermost
-	// open element can be holding text.
-	flushText := func() error {
-		if len(text) == 0 {
-			return nil
-		}
-		var err error
-		if cb.Text != nil {
-			err = cb.Text(text)
-		}
-		text = text[:0]
-		return err
+	s := walkers.Get().(*walker)
+	s.r, s.cb, s.maxDepth = r, cb, maxDepth
+	s.pos, s.end, s.mark, s.rerr, s.lines = 0, 0, -1, nil, 0
+	s.rootSeen, s.pendWin = false, false
+	if len(s.names) >= internMaxNames {
+		clear(s.names)
 	}
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return &MalformedError{Err: fmt.Errorf("xmltree: %v", err)}
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			label := elemName(t.Name)
-			if len(stack) == 0 {
-				if rootSeen {
-					return malformedf("multiple root elements")
-				}
-				rootSeen = true
-			} else {
-				top := &stack[len(stack)-1]
-				if len(text) > 0 {
-					return malformedf("mixed content under <%s>", top.label)
-				}
-				top.hasChildren = true
-			}
-			if maxDepth > 0 && len(stack)+1 > maxDepth {
-				return &DepthError{Depth: len(stack) + 1, Limit: maxDepth}
-			}
-			attrs = attrs[:0]
-			for _, a := range t.Attr {
-				name := elemName(a.Name)
-				if name == "xmlns" || strings.HasPrefix(name, "xmlns:") {
-					continue
-				}
-				attrs = append(attrs, Attr{Name: name, Value: a.Value})
-			}
-			if cb.Open != nil {
-				if err := cb.Open(label, attrs); err != nil {
-					return err
-				}
-			}
-			stack = append(stack, wtFrame{label: label})
-		case xml.EndElement:
-			if len(stack) == 0 {
-				// Unreachable with encoding/xml's strict decoder, which
-				// reports stray end tags itself; kept as a defensive rule.
-				return malformedf("unbalanced end tag </%s>", elemName(t.Name))
-			}
-			if err := flushText(); err != nil {
-				return err
-			}
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if cb.Close != nil {
-				if err := cb.Close(top.label); err != nil {
-					return err
-				}
-			}
-		case xml.CharData:
-			if len(bytes.TrimSpace(t)) == 0 {
-				continue
-			}
-			if len(stack) == 0 {
-				return malformedf("character data outside the root element")
-			}
-			top := &stack[len(stack)-1]
-			if top.hasChildren {
-				return malformedf("mixed content under <%s>", top.label)
-			}
-			text = append(text, t...)
-		case xml.Comment, xml.ProcInst, xml.Directive:
-			// Ignored.
-		}
+	if len(s.xnames) >= internMaxNames {
+		clear(s.xnames)
 	}
-	if !rootSeen {
-		return malformedf("no root element")
-	}
-	if len(stack) != 0 {
-		return malformedf("unbalanced document")
-	}
-	return nil
+	err := s.walk()
+	s.release()
+	walkers.Put(s)
+	return err
 }

@@ -29,11 +29,13 @@ func logDoc(t testing.TB, entries, padding int) []byte {
 }
 
 // TestCheckDocumentReaderAllocs pins a per-entry allocation ceiling on
-// the streaming path. The ceiling is deliberately loose (the
-// encoding/xml tokenizer allocates a handful of objects per element);
-// what it catches is a regression to whole-input buffering or
-// per-entry tuple materialization, which blow it up by orders of
-// magnitude.
+// the streaming path. The scanner behind xmltree.WalkTokens interns
+// names, carves an element's attribute values out of one string and
+// hands text over without copying, so an entry costs about two
+// allocations (its attribute values and the fold's text values); the
+// ceiling sits ~50% above that. It catches per-token garbage creeping
+// back into the tokenizer as well as a regression to whole-input
+// buffering or per-entry tuple materialization.
 func TestCheckDocumentReaderAllocs(t *testing.T) {
 	const entries = 2000
 	doc := logDoc(t, entries, 256)
@@ -47,8 +49,8 @@ func TestCheckDocumentReaderAllocs(t *testing.T) {
 			t.Fatalf("%d violations on a satisfied document", len(vs))
 		}
 	})
-	if perEntry := allocs / entries; perEntry > 40 {
-		t.Errorf("streaming check allocates %.1f objects per entry, want <= 40", perEntry)
+	if perEntry := allocs / entries; perEntry > 3 {
+		t.Errorf("streaming check allocates %.1f objects per entry, want <= 3", perEntry)
 	}
 }
 
